@@ -1,0 +1,9 @@
+"""Make ``perfbench`` and the program's sources importable."""
+
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[2]
+for path in (REPO, REPO / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
