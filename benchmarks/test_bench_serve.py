@@ -1,10 +1,11 @@
 """Standing throughput benchmark for the repro.serve scoring engines.
 
 Races the legacy sequential ``ERPipeline.__call__`` path against the
-batched sequential engine and the 4-worker :class:`ParallelScorer` on a
->=10k-pair candidate workload, asserts the engine contract (parallel
-bit-identical to sequential, both within 1e-9 of the reference, >=3x
-pairs/sec over the reference), and persists the numbers to
+batched :class:`SequentialScorer`, inline and with a 4-thread pool
+(reported as the ``parallel`` engine), on a >=10k-pair candidate workload,
+asserts the engine contract (threaded bit-identical to inline, both within
+1e-9 of the reference, threaded >=3x pairs/sec over the reference), and
+persists the numbers to
 ``BENCH_serve.json`` at the repo root so the perf trajectory is recorded.
 
 Run with ``pytest benchmarks/test_bench_serve.py`` or, outside pytest,
@@ -38,8 +39,8 @@ def test_parallel_scorer_throughput(profile):
 
     speedup = engines["parallel"]["speedup_vs_reference"]
     assert speedup >= MIN_SPEEDUP, (
-        f"ParallelScorer reached only {speedup:.2f}x over the sequential "
-        f"reference (need >= {MIN_SPEEDUP}x)")
+        f"the {NUM_WORKERS}-thread engine reached only {speedup:.2f}x over "
+        f"the sequential reference (need >= {MIN_SPEEDUP}x)")
 
     # the report landed on disk for the perf trajectory
     persisted = json.loads(REPORT_PATH.read_text())

@@ -80,8 +80,9 @@ def score_tables(pipeline, left_table, right_table, num_workers: int = 0,
     """Stream scored decisions for two raw tables — see :mod:`repro.serve`.
 
     ``pipeline`` is a live :class:`~repro.pipeline.ERPipeline` or a snapshot
-    directory; ``num_workers >= 1`` shards scoring over a warm-model worker
-    pool (directory input required).  Yields one
+    directory; ``num_workers >= 2`` runs the forward passes on a thread
+    pool of that size, with decisions bit-identical to inline scoring.
+    Yields one
     :class:`~repro.pipeline.MatchDecision` per blocked candidate pair.
     """
     from .serve import score_tables as _score_tables

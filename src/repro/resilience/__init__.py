@@ -1,37 +1,34 @@
 """repro.resilience — the fault-tolerant execution substrate.
 
-Production serving and long training runs share one design concern:
-components fail — workers segfault, batches hang, losses go NaN — and the
-system must detect and recover rather than deadlock or persist garbage.
-This package centralises that layer:
+Long training runs, the risk loop and the daemon client share one design
+concern: components fail — losses go NaN, a worker dies mid-promotion, a
+daemon sheds load — and the system must detect and recover rather than
+deadlock or persist garbage.  This package centralises that layer:
 
-* :class:`SupervisedPool` — a supervised worker pool (per-batch deadlines,
-  deterministic capped-backoff retries, worker respawn, poison-batch
-  quarantine, graceful degradation to in-process execution) that
-  :class:`repro.serve.engine.ParallelScorer` runs on;
 * :class:`GuardRail` — the per-step training guard (finiteness/divergence
   checks, checksummed snapshot rollback, LR halving, bounded retries with a
   structured :class:`TrainingDiverged`) wired into every trainer in
   :mod:`repro.train.loops`;
-* :class:`ChaosConfig` / :class:`Fault` — deterministic fault injection for
-  the ``pytest -m chaos`` tier and ``serve-bench --inject-fault``;
-* :class:`Events` — counters for every recovery action, surfaced through
-  :class:`repro.serve.metrics.ServeMetrics` and ``BENCH_serve.json``;
-* :class:`BackoffPolicy` / :class:`RetryPolicy` — the retry schedule knobs.
+* :class:`ChaosConfig` / :class:`Fault` — deterministic fault injection
+  (NaN losses, risk-loop crashes and corrupt queue segments) for the
+  ``pytest -m chaos`` and ``pytest -m risk`` tiers;
+* :class:`Events` — counters for every recovery action, mirrored into the
+  telemetry registry as ``resilience.<field>``;
+* :class:`BackoffPolicy` — the capped, jittered retry schedule
+  :class:`repro.serve.DaemonClient` waits on under backpressure.
 
-See ``DESIGN.md`` §8 ("Resilience") for the supervision-tree diagram and
-policy semantics.
+The scoring engine needs none of this: it runs batches on threads inside
+one process, so there is no worker to crash, hang or respawn.  See
+``DESIGN.md`` §8 ("Resilience") for the policy semantics.
 """
 
 from .backoff import BackoffPolicy
-from .chaos import (CHAOS_ENV, KINDS, RISK_KINDS, ChaosConfig, Fault,
-                    merge as merge_chaos)
+from .chaos import KINDS, RISK_KINDS, ChaosConfig, Fault, merge as merge_chaos
 from .events import Events
 from .guardrail import GuardRail, TrainingDiverged
-from .supervisor import PoolDied, RetryPolicy, SupervisedPool
 
 __all__ = [
-    "BackoffPolicy", "RetryPolicy", "SupervisedPool", "PoolDied",
-    "ChaosConfig", "Fault", "CHAOS_ENV", "KINDS", "RISK_KINDS", "merge_chaos",
+    "BackoffPolicy",
+    "ChaosConfig", "Fault", "KINDS", "RISK_KINDS", "merge_chaos",
     "Events", "GuardRail", "TrainingDiverged",
 ]

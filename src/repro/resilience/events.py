@@ -1,12 +1,11 @@
 """Recovery-event counters shared by the serving and training guards.
 
-Every recovery action the resilience layer takes — a retried batch, a
-killed-and-respawned worker, a quarantined poison batch, a training
-rollback — increments exactly one counter here, so "did the system heal
-itself, and how often?" is a first-class observable.  The serving engines
-surface a per-run snapshot through :class:`repro.serve.metrics.ServeMetrics`
-(and therefore ``BENCH_serve.json``); the trainers attach their counters to
-:class:`repro.train.config.AdaptationResult`.
+Every recovery action the resilience layer takes — a training rollback,
+a learning-rate halving — increments exactly one counter here, so "did the
+system heal itself, and how often?" is a first-class observable.  The
+trainers attach their counters to
+:class:`repro.train.config.AdaptationResult`.  The serving-side fields
+date from the retired worker-process pool and are no longer incremented.
 
 Counters are migrated onto the telemetry registry: every live increment
 (made through :meth:`Events.bump`, the only increment path the resilience

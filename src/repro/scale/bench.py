@@ -202,13 +202,10 @@ def _resolve(corpus: ScaleCorpus, blocker: CandidateStream,
 
     left = _entities(corpus.left_path, chunk_size)
     right = _entities(corpus.right_path, chunk_size)
-    if engine == "sequential":
-        decisions = score_tables(pipeline, left, right, num_workers=0,
-                                 window=window, blocker=timed)
-    elif engine == "parallel":
-        decisions = score_tables(str(pipeline_dir), left, right,
-                                 num_workers=num_workers, window=window,
-                                 blocker=timed)
+    if engine in ("sequential", "parallel"):
+        decisions = score_tables(
+            pipeline, left, right, window=window, blocker=timed,
+            num_workers=num_workers if engine == "parallel" else 0)
     elif engine == "daemon":
         decisions = _daemon_decisions(pipeline_dir, timed, left, right,
                                       window)
@@ -318,12 +315,12 @@ def run_e2e_bench(records: int = 1_000_000, num_workers: int = 4,
     Stages (each timed separately, spill interleaving attributed per
     stage): train a matcher snapshot, generate the corpus straight to
     disk, then one streaming block → score → cluster pass —
-    ``num_workers=0`` scores through the in-process sequential engine,
-    ``>=1`` through the parallel worker pool.  With ``equivalence=True``
-    (default) a preliminary pass proves cluster assignments bit-identical
-    across sequential / parallel / daemon engines and across two shard
-    layouts before the headline run.  Returns the report dict (also
-    persisted atomically to ``output``).
+    ``num_workers=0`` scores inline through the sequential engine, ``>=1``
+    through the same engine with ``num_workers`` pool threads.  With
+    ``equivalence=True`` (default) a preliminary pass proves cluster
+    assignments bit-identical across sequential / parallel / daemon engines
+    and across two shard layouts before the headline run.  Returns the
+    report dict (also persisted atomically to ``output``).
     """
     if records < 2:
         raise ValueError("records must be >= 2")
@@ -342,6 +339,9 @@ def run_e2e_bench(records: int = 1_000_000, num_workers: int = 4,
             spec, seed, equivalence_records, work_dir, pipeline,
             pipeline_dir, num_workers)
 
+    # Counters are process-cumulative; the report carries this run's delta
+    # only, so the equivalence pass above never bleeds into it.
+    counters_before = REGISTRY.snapshot()
     generate_start = time.perf_counter()
     corpus = generate_scale_corpus(work_dir / "corpus", records, spec=spec,
                                    seed=seed, dirt=BENCH_DIRT)
@@ -424,7 +424,7 @@ def run_e2e_bench(records: int = 1_000_000, num_workers: int = 4,
         "clusters": clusters.describe(),
         "quality": quality.to_dict(),
         "telemetry": {
-            "counters": {name: value
+            "counters": {name: value - counters_before.get(name, 0)
                          for name, value in REGISTRY.snapshot().items()
                          if name.startswith("scale.")},
         },

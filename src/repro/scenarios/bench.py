@@ -2,8 +2,8 @@
 
 Runs the full harness (six aligners x the 4x2 grid from one fixed seed),
 then routes every grid cell's pair stream through the production serving
-stack — :class:`~repro.serve.SequentialScorer`, a multi-worker
-:class:`~repro.serve.ParallelScorer`, and an in-process daemon behind
+stack — :class:`~repro.serve.SequentialScorer` inline and on a
+multi-thread pool, and an in-process daemon behind
 :class:`~repro.serve.DaemonClient` — asserting each engine's decisions
 **bit-identical** to a direct :meth:`ERPipeline.score_pairs` call with the
 same scheduler configuration before anything is reported.  The reference
@@ -27,8 +27,7 @@ import numpy as np
 from ..artifacts import atomic_write
 from ..pipeline import ERPipeline
 from ..serve import (BatchScheduler, DaemonClient, DaemonConfig,
-                     ModelRegistry, ParallelScorer, SequentialScorer,
-                     start_daemon_thread)
+                     ModelRegistry, SequentialScorer, start_daemon_thread)
 from ..telemetry import REGISTRY
 from ..train import TrainConfig
 from .grid import DEFAULT_PAIRS
@@ -63,8 +62,7 @@ def _serve_streams(report: ScenarioReport, pipeline: ERPipeline,
     streams: Dict[str, object] = {}
     registry = ModelRegistry()
     registry.publish("default", directory)
-    with ParallelScorer(directory, num_workers=num_workers) as parallel:
-        parallel.warm_up()
+    with SequentialScorer(pipeline, num_workers=num_workers) as parallel:
         with start_daemon_thread(registry, DaemonConfig(port=0)) as handle:
             host, port = handle.address
             with DaemonClient(host, port) as client:

@@ -1,13 +1,14 @@
-"""repro.serve — batched, parallel, and online scoring over ER pipelines.
+"""repro.serve — batched, threaded, and online scoring over ER pipelines.
 
 The production serving layer of the reproduction, in two tiers:
 
-* **Engines** — candidate pairs flow through a length-bucketing
-  :class:`BatchScheduler` into either a single-process
-  :class:`SequentialScorer` or a multiprocess :class:`ParallelScorer`
-  (one warm model per worker), fronted by a content-addressed
-  :class:`ScoreCache` and instrumented as :class:`ServeMetrics`.  Both
-  implement the :class:`ScoreRequest` → :class:`ScoreResponse` contract.
+* **Engine** — candidate pairs flow through a length-bucketing
+  :class:`BatchScheduler` into :class:`SequentialScorer`, which runs the
+  batches' forward passes inline or, with ``num_workers >= 2``, on a
+  thread pool (bit-identical decisions either way).  It is fronted by a
+  content-addressed :class:`ScoreCache`, instrumented as
+  :class:`ServeMetrics`, and implements the :class:`ScoreRequest` →
+  :class:`ScoreResponse` contract.
 * **Daemon** — ``python -m repro serve`` hosts a :class:`ModelRegistry`
   of domain-adapted snapshots behind an asyncio loop
   (:class:`ServeDaemon`) that admission-controls with backpressure,
@@ -27,8 +28,8 @@ from .client import DaemonBusy, DaemonClient, DaemonError, ScoredReply
 from .daemon import (BackpressureError, DaemonConfig, DaemonHandle,
                      DaemonServer, ServeDaemon, serve_forever,
                      start_daemon_thread)
-from .engine import (STREAM_WINDOW, ParallelScorer, RequestScorer,
-                     SequentialScorer, score_tables)
+from .engine import (STREAM_WINDOW, RequestScorer, SequentialScorer,
+                     score_tables)
 from .metrics import ServeMetrics, ThroughputMeter, percentile
 from .registry import ModelRegistry, TenantLease, UnknownDomain
 from .request import (DEFAULT_DOMAIN, ScoreRequest, ScoreResponse,
@@ -38,7 +39,7 @@ from .scheduler import BatchScheduler, ScheduledBatch
 __all__ = [
     "BatchScheduler", "ScheduledBatch",
     "ScoreCache", "pair_key", "DEFAULT_CAPACITY",
-    "RequestScorer", "SequentialScorer", "ParallelScorer", "score_tables",
+    "RequestScorer", "SequentialScorer", "score_tables",
     "STREAM_WINDOW",
     "ScoreRequest", "ScoreResponse", "as_request", "DEFAULT_DOMAIN",
     "ModelRegistry", "TenantLease", "UnknownDomain",

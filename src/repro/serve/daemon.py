@@ -464,6 +464,12 @@ class DaemonServer:
                                               "error": "bad-json",
                                               "detail": str(error)})
                     continue
+                if not isinstance(message, dict):
+                    await self._send(writer, {
+                        "ok": False, "error": "bad-request",
+                        "detail": f"expected a JSON object, got "
+                                  f"{type(message).__name__}"})
+                    continue
                 reply = await self._dispatch(message)
                 await self._send(writer, reply)
                 if message.get("op") == "shutdown":

@@ -6,13 +6,14 @@ domain pair gets its own adapted matcher — and the production framing
 assumes all of them live behind one endpoint.  :class:`ModelRegistry` is
 that routing table:
 
-* :meth:`publish` loads a pipeline snapshot (sequential in-process engine,
-  or a :class:`~repro.serve.engine.ParallelScorer` pool for heavy tenants)
-  and installs it under a domain key.  Publishing over an existing domain
-  is a **zero-downtime hot swap**: the new engine is fully loaded *before*
-  the atomic swap, requests that already resolved the old generation finish
-  on it (leases pin the engine and its manifest digest), and the old engine
-  is closed only when its last lease is released.
+* :meth:`publish` loads a pipeline snapshot into a
+  :class:`~repro.serve.engine.SequentialScorer` (inline, or on a thread
+  pool for heavy tenants) and installs it under a domain key.
+  Publishing over an existing domain is a **zero-downtime hot swap**: the
+  new engine is fully loaded *before* the atomic swap, requests that
+  already resolved the old generation finish on it (leases pin the engine
+  and its manifest digest), and the old engine is closed only when its
+  last lease is released.
 * :meth:`resolve` hands out a :class:`TenantLease` — engine + digest under
   a reference count.  The digest gives safe snapshot identity for free:
   score-cache keys embed it, so a swapped snapshot can never serve stale
@@ -32,7 +33,7 @@ from typing import Dict, List, Optional, Union
 
 from ..telemetry import REGISTRY
 from .cache import ScoreCache
-from .engine import ParallelScorer, RequestScorer, SequentialScorer
+from .engine import RequestScorer, SequentialScorer
 
 logger = logging.getLogger("repro.serve")
 
@@ -119,15 +120,14 @@ class ModelRegistry:
         engine, so routing rates and the review queue are global across
         domains and generations; each engine pairs it with its *own*
         snapshot's calibrator.
-    retry / scheduler_kwargs:
+    scheduler_kwargs:
         Forwarded to engines built by :meth:`publish`.
     """
 
     def __init__(self, cache: Optional[ScoreCache] = None,
-                 retry=None, router=None, compiled: bool = False,
+                 router=None, compiled: bool = False,
                  **scheduler_kwargs):
         self.cache = cache
-        self.retry = retry
         self.router = router
         #: Build every tenant engine on the trace-and-replay path.  Programs
         #: are keyed by snapshot digest, so a hot swap recompiles instead of
@@ -139,18 +139,6 @@ class ModelRegistry:
         self._closed = False
 
     # -- publishing --------------------------------------------------------- #
-    def _build_engine(self, directory: Path,
-                      num_workers: int) -> RequestScorer:
-        if num_workers > 0:
-            return ParallelScorer(directory, num_workers=num_workers,
-                                  retry=self.retry, cache=self.cache,
-                                  router=self.router, compiled=self.compiled,
-                                  **self.scheduler_kwargs)
-        return SequentialScorer.from_directory(directory, cache=self.cache,
-                                               router=self.router,
-                                               compiled=self.compiled,
-                                               **self.scheduler_kwargs)
-
     def publish(self, domain: str, directory: Union[str, Path],
                 num_workers: int = 0) -> str:
         """Load ``directory`` and install it under ``domain``; returns the
@@ -167,7 +155,10 @@ class ModelRegistry:
             if self._closed:
                 raise RuntimeError("ModelRegistry is closed")
         directory = Path(directory)
-        engine = self._build_engine(directory, num_workers)
+        engine = SequentialScorer.from_directory(
+            directory, cache=self.cache, router=self.router,
+            compiled=self.compiled, num_workers=num_workers,
+            **self.scheduler_kwargs)
         generation = _Generation(engine, engine.snapshot_digest, directory)
         with self._lock:
             if self._closed:  # closed while loading: don't leak the engine
@@ -228,8 +219,8 @@ class ModelRegistry:
 
         Engines with live leases are closed anyway — shutdown beats
         stragglers — which is safe because
-        :meth:`~repro.serve.engine.ParallelScorer.close` is idempotent and
-        hardened against in-flight work.
+        :meth:`~repro.serve.engine.SequentialScorer.close` is idempotent and
+        lets batches already on its thread pool finish.
         """
         with self._lock:
             self._closed = True

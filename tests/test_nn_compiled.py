@@ -14,6 +14,8 @@ eval-mode Dropout being a structural identity, and the vectorized overlap
 indicators matching the old per-row set-intersection loop exactly.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ from repro.nn.compiled import (CompiledInference, CompiledProgram,
 from repro.nn.layers import Dropout
 from repro.pipeline import ERPipeline
 from repro.pretrain import fresh_copy
-from repro.serve import BatchScheduler, ParallelScorer, SequentialScorer
+from repro.serve import BatchScheduler, SequentialScorer
 
 PROB_TOLERANCE = 1e-9
 
@@ -160,6 +162,27 @@ class TestNoGrad:
         assert created, "the tape path should have run tensor ops"
         assert all(t._parents == () and t._backward is None
                    and not t.requires_grad for t in created)
+
+
+    def test_pool_threads_build_zero_tape(self, compiled_setup, monkeypatch):
+        # The no-grad switch is a contextvar, which does not follow work
+        # into executor threads: each pool task must enter no_grad itself.
+        pipeline, __ = compiled_setup
+        created = []
+        original = Tensor._make
+
+        def spy(self, data, parents, backward):
+            out = original(self, data, parents, backward)
+            created.append((threading.get_ident(), out))
+            return out
+
+        monkeypatch.setattr(Tensor, "_make", spy)
+        with SequentialScorer(pipeline, num_workers=2) as scorer:
+            scorer.score_pairs(_ragged_pairs(24))
+        assert {ident for ident, __ in created} - {threading.get_ident()}, \
+            "the forward should have run on pool threads"
+        assert all(t._parents == () and t._backward is None
+                   and not t.requires_grad for __, t in created)
 
 
 # --------------------------------------------------------------------------- #
@@ -296,6 +319,32 @@ class TestRecordReplay:
                    [d.is_match for d in tape]
             assert all(abs(a.probability - b.probability) <= PROB_TOLERANCE
                        for a, b in zip(compiled, tape))
+
+    @pytest.mark.parametrize("num_workers", [1, 2, 4])
+    def test_threaded_compiled_is_bit_identical_to_inline(
+            self, compiled_setup, monkeypatch, num_workers):
+        # Programs reuse their buffers, so each pool thread must replay its
+        # own CompiledInference: no instance may ever run on two threads.
+        pipeline, __ = compiled_setup
+        pairs = _ragged_pairs(60)
+        inline = SequentialScorer(pipeline, compiled=True).score_pairs(pairs)
+        threads_by_engine = {}
+        original = CompiledInference.probabilities
+
+        def spy(self, ids, mask):
+            threads_by_engine.setdefault(id(self), set()).add(
+                threading.get_ident())
+            return original(self, ids, mask)
+
+        monkeypatch.setattr(CompiledInference, "probabilities", spy)
+        with SequentialScorer(pipeline, compiled=True,
+                              num_workers=num_workers) as scorer:
+            assert scorer.score_pairs(pairs) == inline
+            assert scorer.score_pairs(pairs) == inline  # replayed programs
+            assert all(len(threads) == 1
+                       for threads in threads_by_engine.values())
+            if num_workers > 1:
+                assert id(scorer.compiled) not in threads_by_engine
 
     def test_replay_reuses_buffers_bit_identically(self, compiled_setup):
         # Satellite 4 property: replay on the SAME buffers twice yields
@@ -452,8 +501,8 @@ class TestFallback:
         # must still serve correct answers — only slower.
         __, directory = compiled_setup
         pairs = _ragged_pairs(30, seed=3)
-        with ParallelScorer(directory, num_workers=2,
-                            compiled=True) as pool:
+        with SequentialScorer.from_directory(directory, compiled=True,
+                                             num_workers=2) as pool:
             parallel = pool.score_pairs(pairs)
         sequential = SequentialScorer(
             ERPipeline.load(directory), compiled=True).score_pairs(pairs)

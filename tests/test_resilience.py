@@ -3,18 +3,17 @@
 The chaos tier (``pytest -m chaos``, ``tests/test_failure_injection.py``)
 proves the recovery paths end-to-end; these tests pin the pure machinery:
 backoff schedules, event arithmetic, chaos-plan parsing, guard-rail
-rollback semantics, and the engine's no-work/closed edge cases.
+rollback semantics, and the threaded engine's no-work/closed edge cases.
 """
 
 import numpy as np
 import pytest
 
-from repro.data import Entity
+from repro.data import Entity, EntityPair
 from repro.matcher import MlpMatcher
 from repro.resilience import (BackoffPolicy, ChaosConfig, Events, Fault,
-                              GuardRail, RetryPolicy, SupervisedPool,
-                              TrainingDiverged, merge_chaos)
-from repro.serve.engine import ParallelScorer, _validate_probabilities
+                              GuardRail, TrainingDiverged, merge_chaos)
+from repro.serve import SequentialScorer
 
 
 class TestBackoffPolicy:
@@ -76,99 +75,53 @@ class TestEvents:
 class TestChaosConfig:
     def test_from_spec_round_trip(self):
         plan = ChaosConfig.from_spec(
-            "crash:batch=2;hang:batch=5,worker=1,times=2,hang_seconds=9;"
-            "garbage:times=always;nan_loss:step=3")
+            "nan_loss:step=3;promote_crash:step=1,times=2;"
+            "corrupt_segment:times=always")
         kinds = [f.kind for f in plan.faults]
-        assert kinds == ["crash", "hang", "garbage", "nan_loss"]
-        assert plan.faults[1].hang_seconds == 9.0
+        assert kinds == ["nan_loss", "promote_crash", "corrupt_segment"]
+        assert plan.faults[1].step == 1 and plan.faults[1].times == 2
         assert plan.faults[2].times is None
         assert plan.nan_loss_at(3) and not plan.nan_loss_at(4)
 
     def test_from_spec_rejects_junk(self):
         with pytest.raises(ValueError):
-            ChaosConfig.from_spec("explode:batch=1")
+            ChaosConfig.from_spec("explode:step=1")
         with pytest.raises(ValueError):
-            ChaosConfig.from_spec("crash:batch")
+            ChaosConfig.from_spec("nan_loss:step")
         with pytest.raises(ValueError):
-            ChaosConfig.from_spec("crash:color=red")
-
-    def test_from_env(self):
-        assert ChaosConfig.from_env(environ={}) is None
-        plan = ChaosConfig.from_env(environ={"REPRO_CHAOS": "crash:batch=1"})
-        assert plan.faults[0].batch == 1
+            ChaosConfig.from_spec("nan_loss:color=red")
+        with pytest.raises(ValueError):
+            ChaosConfig.from_spec("crash:batch=2")  # retired serving kind
 
     def test_times_gates_retries_deterministically(self):
-        plan = ChaosConfig((Fault("crash", batch=2, times=1),))
-        assert plan.fault_for(0, 2, 0) is not None
-        # Attempt 1 (the retry) escapes the fault on ANY worker.
-        assert plan.fault_for(0, 2, 1) is None
-        assert plan.fault_for(3, 2, 1) is None
-        assert plan.fault_for(0, 1, 0) is None
+        plan = ChaosConfig((Fault("promote_crash", step=2, times=1),))
+        assert plan.risk_fault_at("promote_crash", 2, occurrence=0)
+        # The restarted worker (occurrence 1) escapes the fault.
+        assert not plan.risk_fault_at("promote_crash", 2, occurrence=1)
+        assert not plan.risk_fault_at("promote_crash", 1, occurrence=0)
+        assert not plan.risk_fault_at("corrupt_segment", 2, occurrence=0)
 
     def test_poison_fault_never_expires(self):
-        plan = ChaosConfig((Fault("garbage", batch=0, times=None),))
-        for attempt in range(10):
-            assert plan.fault_for(attempt % 3, 0, attempt) is not None
+        plan = ChaosConfig((Fault("promote_crash", times=None),))
+        for occurrence in range(10):
+            assert plan.risk_fault_at("promote_crash", occurrence % 3,
+                                      occurrence)
 
     def test_merge(self):
-        a = ChaosConfig((Fault("crash", batch=1),))
-        b = ChaosConfig((Fault("hang", batch=2),))
+        a = ChaosConfig((Fault("nan_loss", step=1),))
+        b = ChaosConfig((Fault("promote_crash", step=2),))
         merged = merge_chaos([a, None, b])
-        assert [f.kind for f in merged.faults] == ["crash", "hang"]
+        assert [f.kind for f in merged.faults] == ["nan_loss",
+                                                   "promote_crash"]
         assert merge_chaos([None, None]) is None
 
     def test_fault_validation(self):
         with pytest.raises(ValueError):
             Fault("meteor")
         with pytest.raises(ValueError):
-            Fault("crash", times=0)
-
-
-class TestRetryPolicy:
-    def test_validation(self):
+            Fault("crash")  # worker faults retired with the process pool
         with pytest.raises(ValueError):
-            RetryPolicy(batch_timeout=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_respawns=-1)
-        RetryPolicy(batch_timeout=None)  # "no deadline" is allowed
-
-
-def _square(state, payload):
-    return payload * payload
-
-
-def _no_setup():
-    return None
-
-
-class TestSupervisedPoolCleanRun:
-    def test_every_payload_answered_exactly_once(self):
-        with SupervisedPool(setup=_no_setup, setup_args=(), handle=_square,
-                            num_workers=2,
-                            policy=RetryPolicy(
-                                backoff=BackoffPolicy.instant())) as pool:
-            results = dict()
-            for seq, result, busy, pid in pool.map_unordered([1, 2, 3, 4, 5]):
-                assert seq not in results
-                results[seq] = result
-                assert busy >= 0.0
-        assert results == {0: 1, 1: 4, 2: 9, 3: 16, 4: 25}
-        assert pool.events.total() == 0
-
-    def test_empty_mapping_is_a_noop(self):
-        pool = SupervisedPool(setup=_no_setup, setup_args=(), handle=_square,
-                              num_workers=1)
-        assert list(pool.map_unordered([])) == []  # never even starts
-        pool.close()
-
-    def test_closed_pool_refuses_work(self):
-        pool = SupervisedPool(setup=_no_setup, setup_args=(), handle=_square,
-                              num_workers=1)
-        pool.close()
-        with pytest.raises(RuntimeError):
-            list(pool.map_unordered([1]))
+            Fault("nan_loss", times=0)
 
 
 def _stub_optimizer(lr=1e-3):
@@ -259,27 +212,6 @@ class TestGuardRail:
             GuardRail({"m": matcher}, [], ema_decay=1.5)
 
 
-class TestOutputValidation:
-    def _payload(self, rows=3):
-        ids = np.zeros((rows, 4), dtype=np.int64)
-        mask = np.ones((rows, 4), dtype=bool)
-        return ids, mask
-
-    def test_accepts_clean_probabilities(self):
-        assert _validate_probabilities(self._payload(),
-                                       np.array([0.1, 0.5, 0.9])) is None
-
-    def test_rejects_wrong_type_shape_nan_and_range(self):
-        payload = self._payload()
-        assert "ndarray" in _validate_probabilities(payload, [0.1, 0.5, 0.9])
-        assert "shape" in _validate_probabilities(payload,
-                                                  np.array([0.1, 0.5]))
-        assert "finite" in _validate_probabilities(
-            payload, np.array([0.1, np.nan, 0.9]))
-        assert "outside" in _validate_probabilities(
-            payload, np.array([0.1, 0.5, 1.5]))
-
-
 class TestScorerEdgeCases:
     @pytest.fixture()
     def snapshot_dir(self, tmp_path, tiny_lm):
@@ -294,22 +226,28 @@ class TestScorerEdgeCases:
         return tmp_path / "pipeline"
 
     def test_empty_pairs_never_spin_up_workers(self, snapshot_dir):
-        with ParallelScorer(snapshot_dir, num_workers=2) as scorer:
+        with SequentialScorer.from_directory(snapshot_dir,
+                                             num_workers=2) as scorer:
             assert scorer.score_pairs([]) == []
-            assert scorer._supervisor is None
+            assert scorer._pool is None
             assert scorer.last_metrics.num_pairs == 0
 
     def test_empty_blocker_output_never_spins_up_workers(self, snapshot_dir):
-        with ParallelScorer(snapshot_dir, num_workers=2) as scorer:
+        with SequentialScorer.from_directory(snapshot_dir,
+                                             num_workers=2) as scorer:
             # Disjoint vocabularies: the overlap blocker emits nothing.
             left = [Entity("l0", {"name": "aardvark"})]
             right = [Entity("r0", {"name": "zyzzyva"})]
             assert list(scorer.score_tables(left, right)) == []
-            assert scorer._supervisor is None
+            assert scorer._pool is None
 
     def test_closed_scorer_refuses_parallel_work(self, snapshot_dir):
-        scorer = ParallelScorer(snapshot_dir, num_workers=1)
+        scorer = SequentialScorer.from_directory(snapshot_dir, num_workers=2)
+        pairs = [EntityPair(Entity("l0", {"name": "red kettle"}),
+                            Entity("r0", {"name": "red kettle"}))]
+        assert len(scorer.score_pairs(pairs)) == 1
+        assert scorer._pool is not None
         scorer.close()
         scorer.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
-            scorer._ensure_pool()
+            scorer.score_pairs(pairs)

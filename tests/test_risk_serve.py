@@ -20,8 +20,8 @@ from repro.pipeline import ERPipeline
 from repro.risk import (AUTO_MATCH, AUTO_NON_MATCH, REVIEW, ReviewQueue,
                         RiskBand, RiskRouter, calibrate_snapshot)
 from repro.serve import (DaemonClient, DaemonConfig, DaemonError,
-                         ModelRegistry, ParallelScorer, SequentialScorer,
-                         ServeDaemon, as_request, start_daemon_thread,
+                         ModelRegistry, SequentialScorer, ServeDaemon,
+                         as_request, start_daemon_thread,
                          synthetic_candidates)
 
 
@@ -82,10 +82,12 @@ class TestEngineBitIdentity:
                                                tmp_path):
         plain = SequentialScorer(ERPipeline.load(snapshot)
                                  ).score_pairs(workload)
-        with ParallelScorer(snapshot, num_workers=2,
-                            router=_router(tmp_path)) as scorer:
-            routed = scorer.score_pairs(workload)
-        assert routed == plain
+        for num_workers in (1, 2, 4):
+            with SequentialScorer.from_directory(
+                    snapshot, num_workers=num_workers,
+                    router=_router(tmp_path, f"q{num_workers}")) as scorer:
+                routed = scorer.score_pairs(workload)
+            assert routed == plain, f"{num_workers} worker(s)"
 
     def test_engines_agree_on_review_rate(self, snapshot, workload,
                                           tmp_path):
@@ -95,8 +97,8 @@ class TestEngineBitIdentity:
         SequentialScorer.from_directory(
             snapshot, router=sequential).score_pairs(workload)
         parallel = _router(tmp_path, "par")
-        with ParallelScorer(snapshot, num_workers=2,
-                            router=parallel) as scorer:
+        with SequentialScorer.from_directory(snapshot, num_workers=2,
+                                             router=parallel) as scorer:
             scorer.score_pairs(workload)
         assert sequential.stats()["counts"] == parallel.stats()["counts"]
 

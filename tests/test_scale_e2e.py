@@ -1,7 +1,7 @@
 """End-to-end scale-resolution tier (``pytest -m e2e``).
 
 One small but complete :func:`repro.scale.run_e2e_bench` run — synthetic
-corpus, trained snapshot, sharded blocking, parallel scoring, transitive
+corpus, trained snapshot, sharded blocking, threaded scoring, transitive
 clustering, and the engine/shard-layout equivalence pass — asserting the
 report contract CI smoke-checks on the full benchmark artifact.
 """
@@ -78,3 +78,14 @@ class TestE2EBenchReport:
         assert counters.get("scale.synth.records", 0) > 0
         assert counters.get("scale.block.candidates", 0) > 0
         assert counters.get("scale.cluster.entities", 0) > 0
+
+    def test_counters_are_the_headline_runs_own(self, report_and_path):
+        # Counters are the headline run's delta: the equivalence pass
+        # resolves its own corpus four times and must not bleed in.
+        report, __ = report_and_path
+        counters = report["telemetry"]["counters"]
+        assert counters["scale.block.candidates"] == \
+            report["blocking"]["candidates"]
+        assert counters["scale.cluster.entities"] == \
+            report["clusters"]["entities"]
+        assert counters["scale.synth.records"] == report["records"]

@@ -3,7 +3,7 @@
 Satellite to the scenario harness: the Record Linking and imbalanced Open
 Matching streams (the two shapes production traffic actually takes —
 cross-table linking and skewed open-world probing) are routed through
-:class:`SequentialScorer`, a four-worker :class:`ParallelScorer`, and an
+:class:`SequentialScorer` inline and on 2- and 4-thread pools, and an
 in-process daemon, and every engine's `MatchDecision` list must be
 bit-identical to a direct :meth:`ERPipeline.score_pairs` call driven by the
 same scheduler configuration.  The legacy full-padding reference is held to
@@ -17,8 +17,7 @@ from repro.datasets import generate_corpus, spec_for
 from repro.pipeline import ERPipeline
 from repro.scenarios import build_scenario
 from repro.serve import (BatchScheduler, DaemonClient, DaemonConfig,
-                         ModelRegistry, ParallelScorer, SequentialScorer,
-                         start_daemon_thread)
+                         ModelRegistry, SequentialScorer, start_daemon_thread)
 
 STREAMS = [("record_linking", "balanced"), ("open_matching", "imbalanced")]
 
@@ -59,8 +58,10 @@ def test_engines_bit_identical_to_direct_pipeline(served, streams, stream):
     sequential = SequentialScorer(pipeline).score_pairs(pairs)
     assert sequential == direct
 
-    with ParallelScorer(directory, num_workers=4) as scorer:
-        assert scorer.score_pairs(pairs) == direct
+    for num_workers in (2, 4):
+        with SequentialScorer.from_directory(
+                directory, num_workers=num_workers) as scorer:
+            assert scorer.score_pairs(pairs) == direct
 
     registry = ModelRegistry()
     registry.publish("default", directory)

@@ -2,7 +2,7 @@
 
 The load-bearing guarantee: batch formation is a pure function of the pair
 sequence and scheduler configuration, so any two engines driven by the same
-scheduler — in-process or across a worker pool, any worker count — must
+scheduler — inline or on a thread pool, any worker count — must
 return *bit-identical* MatchDecision lists.  Cross-policy (bucketed vs the
 legacy full-padding reference) agreement is additionally locked to 1e-9.
 """
@@ -10,12 +10,9 @@ legacy full-padding reference) agreement is additionally locked to 1e-9.
 import numpy as np
 import pytest
 
-from repro.artifacts import ArtifactError, ArtifactStore
 from repro.data import Entity, EntityPair
 from repro.pipeline import ERPipeline
-from repro.serve import (BatchScheduler, ParallelScorer, SequentialScorer,
-                         score_tables)
-from repro.serve.engine import _init_worker
+from repro.serve import BatchScheduler, SequentialScorer, score_tables
 
 
 def _ragged_pairs(count, seed=0):
@@ -219,13 +216,14 @@ class TestSequentialEquivalence:
 
 
 class TestParallelEquivalence:
-    @pytest.mark.parametrize("num_workers", [1, 4])
+    @pytest.mark.parametrize("num_workers", [1, 2, 4])
     def test_bit_identical_to_sequential(self, served, num_workers):
-        pipeline, directory = served
+        pipeline, __ = served
         pairs = _ragged_pairs(60)
         sequential = SequentialScorer(pipeline).score_pairs(pairs)
-        with ParallelScorer(directory, num_workers=num_workers) as scorer:
+        with SequentialScorer(pipeline, num_workers=num_workers) as scorer:
             assert scorer.score_pairs(pairs) == sequential
+            assert scorer.score_pairs(pairs) == sequential  # pool reused
 
     def test_ragged_batch_caps(self, served):
         pipeline, directory = served
@@ -234,44 +232,47 @@ class TestParallelEquivalence:
                                    pipeline.extractor.max_len,
                                    max_batch_pairs=7, max_batch_tokens=300)
         sequential = SequentialScorer(pipeline, scheduler).score_pairs(pairs)
-        with ParallelScorer(directory, num_workers=2, max_batch_pairs=7,
-                            max_batch_tokens=300) as scorer:
+        with SequentialScorer.from_directory(
+                directory, num_workers=2, max_batch_pairs=7,
+                max_batch_tokens=300) as scorer:
             assert scorer.score_pairs(pairs) == sequential
 
     def test_empty_candidate_set(self, served):
-        __, directory = served
-        with ParallelScorer(directory, num_workers=2) as scorer:
+        pipeline, __ = served
+        with SequentialScorer(pipeline, num_workers=2) as scorer:
             assert scorer.score_pairs([]) == []
             assert scorer.last_metrics.num_pairs == 0
 
     def test_worker_metrics(self, served):
-        __, directory = served
-        with ParallelScorer(directory, num_workers=2,
-                            max_batch_pairs=10) as scorer:
+        pipeline, __ = served
+        scheduler = BatchScheduler(pipeline.extractor.vocab,
+                                   pipeline.extractor.max_len,
+                                   max_batch_pairs=10)
+        with SequentialScorer(pipeline, scheduler,
+                              num_workers=2) as scorer:
             scorer.score_pairs(_ragged_pairs(40))
             metrics = scorer.last_metrics
         assert metrics.engine == "parallel"
         assert metrics.num_workers == 2
         assert metrics.num_pairs == 40
+        assert metrics.num_batches >= 4
         assert metrics.busy_seconds > 0
 
     def test_rejects_bad_worker_count(self, served):
-        __, directory = served
-        with pytest.raises(ValueError):
-            ParallelScorer(directory, num_workers=0)
-
-    def test_worker_refuses_changed_snapshot(self, served, tmp_path):
-        """A snapshot republished mid-startup must not serve a mixed fleet."""
         pipeline, __ = served
-        directory = tmp_path / "changing"
-        pipeline.save(directory)
-        store = ArtifactStore(directory)
-        stale_digest = store.manifest_digest()
-        vocab_text = store.read("vocab.txt", lambda p: p.read_text())
-        store.write_text("vocab.txt", vocab_text + "\nrepublished")
-        assert store.manifest_digest() != stale_digest
-        with pytest.raises(ArtifactError, match="changed during worker"):
-            _init_worker(str(directory), stale_digest)
+        with pytest.raises(ValueError):
+            SequentialScorer(pipeline, num_workers=-1)
+
+    def test_forward_error_reaches_the_caller(self, served, monkeypatch):
+        pipeline, __ = served
+
+        def broken(self, compiled, batch):
+            raise RuntimeError("forward failed")
+
+        monkeypatch.setattr(SequentialScorer, "_forward", broken)
+        with SequentialScorer(pipeline, num_workers=2) as scorer:
+            with pytest.raises(RuntimeError, match="forward failed"):
+                scorer.score_pairs(_ragged_pairs(30))
 
 
 class TestScoreTables:
@@ -308,19 +309,25 @@ class TestScoreTables:
                                      num_workers=2))
         assert parallel == sequential
 
-    def test_parallel_requires_directory(self, served):
+    def test_parallel_accepts_live_pipeline(self, served):
         pipeline, __ = served
-        with pytest.raises(ValueError, match="snapshot directory"):
-            list(score_tables(pipeline, [], [], num_workers=2))
+        pairs = _ragged_pairs(30, seed=5)
+        left = [p.left for p in pairs]
+        right = [p.right for p in pairs]
+        sequential = list(score_tables(pipeline, left, right, window=16))
+        parallel = list(score_tables(pipeline, left, right, window=16,
+                                     num_workers=2))
+        assert parallel == sequential
 
     def test_match_tables_threshold(self, served):
         pipeline, directory = served
         pairs = _ragged_pairs(30, seed=5)
         left = [p.left for p in pairs]
         right = [p.right for p in pairs]
-        with ParallelScorer(directory, num_workers=1) as scorer:
+        with SequentialScorer.from_directory(directory,
+                                             num_workers=1) as scorer:
             matches = scorer.match_tables(left, right)
             decisions = list(scorer.score_tables(left, right))
         expected = [(d.left_id, d.right_id) for d in decisions
-                    if d.probability >= scorer.threshold]
+                    if d.probability >= scorer.pipeline.threshold]
         assert matches == expected

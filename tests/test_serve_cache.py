@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 
 from repro.data import Entity, EntityPair
 from repro.pipeline import ERPipeline
-from repro.serve import (BatchScheduler, ParallelScorer, ScoreCache,
-                         SequentialScorer, pair_key)
+from repro.serve import BatchScheduler, ScoreCache, SequentialScorer, pair_key
 from repro.text import Vocabulary
 
 
@@ -181,16 +180,24 @@ class TestEngineCaching:
         assert scorer.last_metrics.cache["hit_rate"] == 1.0
         assert scorer.last_metrics.cache["misses"] == 0
 
-    @pytest.mark.parametrize("num_workers", [1, 4])
+    @pytest.mark.parametrize("num_workers", [1, 2, 4])
     def test_parallel_cached_bit_identical_across_workers(
             self, cached_pipeline, num_workers):
         pipeline, directory = cached_pipeline
         pairs = _pairs([f"w{i % 7} item {i % 13}" for i in range(60)])
         baseline = SequentialScorer(pipeline).score_pairs(pairs)
         cache = ScoreCache(capacity=1024)
-        with ParallelScorer(directory, num_workers=num_workers,
-                            cache=cache) as scorer:
+        inline_cache = ScoreCache(capacity=1024)
+        SequentialScorer.from_directory(
+            directory, cache=inline_cache).score_pairs(pairs)
+        with SequentialScorer.from_directory(
+                directory, cache=cache, num_workers=num_workers) as scorer:
             cold = scorer.score_pairs(pairs)
+            # Admission stays on the calling thread in schedule order, so
+            # the cache holds exactly what the inline engine admits, in
+            # the same LRU order.
+            assert list(cache._memory.items()) == \
+                list(inline_cache._memory.items())
             warm = scorer.score_pairs(pairs)
             warm_stats = scorer.last_metrics.cache
         assert cold == baseline

@@ -12,6 +12,9 @@ The invariants under test are the serving layer's contract:
 """
 
 import asyncio
+import json
+import logging
+import socket
 import threading
 import time
 
@@ -294,6 +297,26 @@ class TestDaemonEndToEnd:
                 assert reply.request_id == "my-id-42"
                 assert reply.digest == digest
                 assert reply.latency_seconds > 0.0
+
+    def test_non_object_frames_get_bad_request_and_keep_connection(
+            self, snapshot_a, caplog):
+        __, directory = snapshot_a
+        registry = ModelRegistry()
+        registry.publish("default", directory)
+        with start_daemon_thread(registry, DaemonConfig()) as handle:
+            with socket.create_connection(handle.address, timeout=10) as sock:
+                stream = sock.makefile("rwb")
+                for frame in (b"[1, 2]", b'"x"', b"3"):
+                    stream.write(frame + b"\n")
+                    stream.flush()
+                    reply = json.loads(stream.readline())
+                    assert reply["ok"] is False, frame
+                    assert reply["error"] == "bad-request", frame
+                stream.write(b'{"op": "ping"}\n')
+                stream.flush()
+                assert json.loads(stream.readline()) == {"ok": True,
+                                                         "op": "ping"}
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
     def test_shutdown_drains_cleanly(self, snapshot_a):
         __, directory = snapshot_a
