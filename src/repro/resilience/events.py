@@ -1,11 +1,10 @@
-"""Recovery-event counters shared by the serving and training guards.
+"""Recovery-event counters of the training guard.
 
 Every recovery action the resilience layer takes — a training rollback,
 a learning-rate halving — increments exactly one counter here, so "did the
 system heal itself, and how often?" is a first-class observable.  The
 trainers attach their counters to
-:class:`repro.train.config.AdaptationResult`.  The serving-side fields
-date from the retired worker-process pool and are no longer incremented.
+:class:`repro.train.config.AdaptationResult`.
 
 Counters are migrated onto the telemetry registry: every live increment
 (made through :meth:`Events.bump`, the only increment path the resilience
@@ -28,33 +27,11 @@ from typing import Dict
 class Events:
     """Counters for every recovery path in :mod:`repro.resilience`.
 
-    Serving-side:
-
-    * ``retries`` — batch re-submissions after a failed/timed-out attempt;
-    * ``timeouts`` — batches whose worker blew the per-batch deadline;
-    * ``crashes`` — workers that died (segfault/OOM-kill/``os._exit``) while
-      holding a batch;
-    * ``garbage`` — worker results rejected by output validation;
-    * ``respawns`` — replacement workers spawned into a dead slot;
-    * ``quarantined`` — poison batches re-scored in-process after exhausting
-      their retry budget;
-    * ``pool_fallbacks`` — whole-pool deaths that degraded the engine to
-      sequential in-process scoring.
-
-    Training-side:
-
     * ``rollbacks`` — restorations of the last good snapshot after a
       non-finite or diverged step;
     * ``lr_halvings`` — learning-rate halvings applied on rollback.
     """
 
-    retries: int = 0
-    timeouts: int = 0
-    crashes: int = 0
-    garbage: int = 0
-    respawns: int = 0
-    quarantined: int = 0
-    pool_fallbacks: int = 0
     rollbacks: int = 0
     lr_halvings: int = 0
 

@@ -9,9 +9,9 @@ through :mod:`repro.telemetry` (``scale.block.*`` / ``scale.cluster.*``).
 * :mod:`~repro.scale.minhash` — vectorized MinHash signatures + LSH band
   keys, deterministic across processes and shard layouts.
 * :mod:`~repro.scale.blocker` — :class:`ShardedBlocker`, the spilling
-  :class:`~repro.blocking.CandidateStream`: ``minhash`` (LSH collisions)
-  and ``overlap`` (global-df token overlap) modes, shard-invariant
-  candidate order.
+  :class:`~repro.blocking.CandidateStream`: MinHash-LSH collisions with
+  an optional signature-byte verify filter, shard-invariant candidate
+  order.
 * :mod:`~repro.scale.cluster` — union-find (path compression + union by
   rank) folding pairwise decisions — review abstentions excluded — into
   entity clusters with order-invariant canonical ids, plus pairwise

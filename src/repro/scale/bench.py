@@ -54,7 +54,7 @@ DEFAULT_WORK_DIR = ".cache/e2e_bench"
 #: verify at 0.40 sits inside the measured gap between true-match Jaccard
 #: (p1 ~ 0.50) and hard-sibling Jaccard (p99 ~ 0.29) — recall > 0.99 with
 #: candidates only a hair above the true-match count.
-BENCH_BLOCKER = dict(mode="minhash", bands=32, rows=4, verify_threshold=0.40)
+BENCH_BLOCKER = dict(bands=32, rows=4, verify_threshold=0.40)
 
 #: Corpus dirt for the bench (see :mod:`repro.scale.synth`): mild enough
 #: that token Jaccard separates matches from hard siblings cleanly.

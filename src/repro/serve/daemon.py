@@ -70,6 +70,11 @@ from .request import ScoreRequest, ScoreResponse, next_request_id
 
 logger = logging.getLogger("repro.serve")
 
+#: Longest request line the server reads, in bytes: asyncio's default
+#: ``StreamReader`` limit, passed explicitly so the ``frame-too-large``
+#: reply can state it.
+FRAME_LIMIT = 2 ** 16
+
 
 class BackpressureError(RuntimeError):
     """Admission rejected: the daemon is past its high-water mark.
@@ -435,7 +440,8 @@ class DaemonServer:
     async def start(self) -> Tuple[str, int]:
         config = self.daemon.config
         self._server = await asyncio.start_server(
-            self._handle_connection, config.host, config.port)
+            self._handle_connection, config.host, config.port,
+            limit=FRAME_LIMIT)
         sock = self._server.sockets[0]
         self.address = sock.getsockname()[:2]
         logger.info("repro serve listening on %s:%d", *self.address)
@@ -454,12 +460,20 @@ class DaemonServer:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over FRAME_LIMIT: the rest of the frame may still be
+                    # in flight, so no later line boundary can be trusted.
+                    await self._send(writer, {"ok": False,
+                                              "error": "frame-too-large",
+                                              "limit": FRAME_LIMIT})
+                    break
                 if not line:
                     break
                 try:
                     message = json.loads(line)
-                except json.JSONDecodeError as error:
+                except (json.JSONDecodeError, UnicodeDecodeError) as error:
                     await self._send(writer, {"ok": False,
                                               "error": "bad-json",
                                               "detail": str(error)})

@@ -7,8 +7,8 @@ numpy:
   explicit finish), monotonic timing, thread/process-safe buffering, and an
   atomic JSONL exporter (one ``traces/<run>.trace.jsonl`` per run, written
   through :mod:`repro.artifacts`).  Wired into the trainers (per-epoch,
-  per-phase, per-step), the serve engines (per-run, scheduler, per-batch),
-  and the resilience supervisor (retry/respawn/quarantine events).
+  per-phase, per-step), the serve engine (per-run, scheduler, per-batch),
+  the daemon (per-request), and sharded blocking (spill, probe).
 * :mod:`~repro.telemetry.registry` — process-local named counters, gauges,
   and numpy-backed fixed-bucket histograms with one ``snapshot()`` export
   path; the resilience :class:`~repro.resilience.Events` counters and the

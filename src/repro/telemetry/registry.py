@@ -144,7 +144,7 @@ class MetricsRegistry:
     """Get-or-create named instruments; render them all with one call.
 
     Names are dotted paths (``serve.batch_seconds``,
-    ``resilience.retries``).  Re-requesting a name returns the existing
+    ``resilience.rollbacks``).  Re-requesting a name returns the existing
     instrument; requesting it as a different kind raises — a name means one
     thing for the life of the process.
     """

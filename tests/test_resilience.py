@@ -49,11 +49,10 @@ class TestBackoffPolicy:
 
 class TestEvents:
     def test_delta_and_sum(self):
-        before = Events(retries=2, crashes=1)
-        after = Events(retries=5, crashes=1, respawns=3)
+        before = Events(rollbacks=2, lr_halvings=1)
+        after = Events(rollbacks=5, lr_halvings=1)
         delta = after - before
-        assert delta.retries == 3 and delta.respawns == 3
-        assert delta.crashes == 0
+        assert delta.rollbacks == 3 and delta.lr_halvings == 0
         assert (before + delta).to_dict() == after.to_dict()
 
     def test_bool_is_any_recovery(self):
@@ -61,15 +60,15 @@ class TestEvents:
         assert Events(rollbacks=1)
 
     def test_copy_is_independent(self):
-        a = Events(retries=1)
+        a = Events(rollbacks=1)
         b = a.copy()
-        b.retries += 1
-        assert a.retries == 1
+        b.rollbacks += 1
+        assert a.rollbacks == 1
 
     def test_merge_accumulates_in_place(self):
-        a = Events(retries=1)
-        a.merge(Events(retries=2, quarantined=1))
-        assert a.retries == 3 and a.quarantined == 1
+        a = Events(rollbacks=1)
+        a.merge(Events(rollbacks=2, lr_halvings=1))
+        assert a.rollbacks == 3 and a.lr_halvings == 1
 
 
 class TestChaosConfig:

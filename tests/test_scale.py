@@ -97,29 +97,34 @@ class TestMinHasher:
 # ShardedBlocker
 # --------------------------------------------------------------------------- #
 
-class TestShardedOverlapMode:
-    def test_matches_in_memory_overlap_blocker(self, tmp_path):
-        reference = OverlapBlocker(min_overlap=2, stop_fraction=1.0)
-        sharded = ShardedBlocker(mode="overlap", min_overlap=2,
-                                 stop_fraction=1.0, shard_size=2,
-                                 chunk_size=3, spill_dir=tmp_path / "s")
-        expected = set(_id_pairs(reference.candidates(LEFT, RIGHT)))
-        got = set(_id_pairs(sharded.candidates(LEFT, RIGHT)))
-        assert got == expected and expected
+class TestShardedMinhashMode:
+    def test_near_duplicates_are_candidates(self, tmp_path):
+        blocker = ShardedBlocker(bands=16, rows=2, shard_size=2,
+                                 spill_dir=tmp_path / "s")
+        got = set(_id_pairs(blocker.candidates(LEFT, RIGHT)))
+        assert {("a0", "b0"), ("a1", "b1"), ("a2", "b2")} <= got
 
     def test_order_invariant_across_layouts(self, tmp_path):
         orders = []
-        for i, (shard, chunk) in enumerate([(1, 1), (2, 3), (100, 100)]):
-            blocker = ShardedBlocker(mode="overlap", min_overlap=2,
-                                     stop_fraction=1.0, shard_size=shard,
+        for i, (shard, chunk) in enumerate([(1, 2), (3, 1), (64, 64)]):
+            blocker = ShardedBlocker(bands=16, rows=2, shard_size=shard,
                                      chunk_size=chunk,
                                      spill_dir=tmp_path / f"s{i}")
             orders.append(_id_pairs(blocker.candidates(LEFT, RIGHT)))
         assert orders[0] == orders[1] == orders[2]
 
+    def test_order_invariant_from_unit_to_whole_layouts(self, tmp_path):
+        orders = []
+        for i, (shard, chunk) in enumerate([(1, 1), (2, 3), (100, 100)]):
+            blocker = ShardedBlocker(bands=16, rows=2, shard_size=shard,
+                                     chunk_size=chunk,
+                                     spill_dir=tmp_path / f"s{i}")
+            orders.append(_id_pairs(blocker.candidates(LEFT, RIGHT)))
+        assert orders[0]
+        assert orders[0] == orders[1] == orders[2]
+
     def test_entities_reconstructed_exactly(self, tmp_path):
-        blocker = ShardedBlocker(mode="overlap", min_overlap=2,
-                                 stop_fraction=1.0, shard_size=2,
+        blocker = ShardedBlocker(bands=16, rows=2, shard_size=2,
                                  spill_dir=tmp_path / "s")
         by_id = {e.entity_id: e for e in LEFT}
         for pair in blocker.candidates(LEFT, RIGHT):
@@ -130,28 +135,9 @@ class TestShardedOverlapMode:
                  if p.left.entity_id != "a0"]
         assert nulls and all(v is None for v in nulls)
 
-
-class TestShardedMinhashMode:
-    def test_near_duplicates_are_candidates(self, tmp_path):
-        blocker = ShardedBlocker(mode="minhash", bands=16, rows=2,
-                                 shard_size=2, spill_dir=tmp_path / "s")
-        got = set(_id_pairs(blocker.candidates(LEFT, RIGHT)))
-        assert {("a0", "b0"), ("a1", "b1"), ("a2", "b2")} <= got
-
-    def test_order_invariant_across_layouts(self, tmp_path):
-        orders = []
-        for i, (shard, chunk) in enumerate([(1, 2), (3, 1), (64, 64)]):
-            blocker = ShardedBlocker(mode="minhash", bands=16, rows=2,
-                                     shard_size=shard, chunk_size=chunk,
-                                     spill_dir=tmp_path / f"s{i}")
-            orders.append(_id_pairs(blocker.candidates(LEFT, RIGHT)))
-        assert orders[0] == orders[1] == orders[2]
-
     def test_verify_threshold_only_prunes(self, tmp_path):
-        loose = ShardedBlocker(mode="minhash", bands=16, rows=2,
-                               spill_dir=tmp_path / "a")
-        strict = ShardedBlocker(mode="minhash", bands=16, rows=2,
-                                verify_threshold=0.5,
+        loose = ShardedBlocker(bands=16, rows=2, spill_dir=tmp_path / "a")
+        strict = ShardedBlocker(bands=16, rows=2, verify_threshold=0.5,
                                 spill_dir=tmp_path / "b")
         all_pairs = set(_id_pairs(loose.candidates(LEFT, RIGHT)))
         kept = set(_id_pairs(strict.candidates(LEFT, RIGHT)))
@@ -159,8 +145,8 @@ class TestShardedMinhashMode:
         assert ("a0", "b0") in kept  # one-typo near-duplicate survives
 
     def test_last_stats_records_bounded_shards(self, tmp_path):
-        blocker = ShardedBlocker(mode="minhash", bands=16, rows=2,
-                                 shard_size=2, spill_dir=tmp_path / "s")
+        blocker = ShardedBlocker(bands=16, rows=2, shard_size=2,
+                                 spill_dir=tmp_path / "s")
         candidates = blocker.candidates(LEFT, RIGHT)
         stats = blocker.last_stats
         assert stats["num_shards"] == 2
@@ -172,15 +158,9 @@ class TestShardedMinhashMode:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            ShardedBlocker(mode="bogus")
-        with pytest.raises(ValueError):
             ShardedBlocker(shard_size=0)
         with pytest.raises(ValueError):
             ShardedBlocker(verify_threshold=1.5)
-        with pytest.raises(ValueError):
-            ShardedBlocker(mode="overlap", min_overlap=0)
-        with pytest.raises(ValueError):
-            ShardedBlocker(mode="overlap", stop_fraction=0.0)
 
 
 # --------------------------------------------------------------------------- #

@@ -83,9 +83,8 @@ class TestLshSupersetGuarantee:
         left_sigs = hasher.signatures(left_sets)
         right_sigs = hasher.signatures(right_sets)
 
-        blocker = ShardedBlocker(mode="minhash", bands=bands, rows=rows,
-                                 seed=seed, shard_size=shard_size,
-                                 chunk_size=2)
+        blocker = ShardedBlocker(bands=bands, rows=rows, seed=seed,
+                                 shard_size=shard_size, chunk_size=2)
         left = [Entity(f"a{i}", {"text": " ".join(sorted(tokens))})
                 for i, tokens in enumerate(left_sets)]
         right = [Entity(f"b{j}", {"text": " ".join(sorted(tokens))})
@@ -103,8 +102,7 @@ class TestLshSupersetGuarantee:
     @given(TOKEN_SETS, st.integers(min_value=0, max_value=3))
     def test_identical_token_sets_always_candidates(self, tokens, seed):
         text = " ".join(sorted(tokens))
-        blocker = ShardedBlocker(mode="minhash", bands=8, rows=2, seed=seed,
-                                 shard_size=1)
+        blocker = ShardedBlocker(bands=8, rows=2, seed=seed, shard_size=1)
         candidates = blocker.candidates([Entity("a0", {"text": text})],
                                         [Entity("b0", {"text": text})])
         assert [(p.left.entity_id, p.right.entity_id)

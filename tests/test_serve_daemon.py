@@ -27,6 +27,7 @@ from repro.serve import (BackpressureError, DaemonClient, DaemonConfig,
                          DaemonError, ModelRegistry, ScoreCache,
                          ScoreRequest, SequentialScorer, UnknownDomain,
                          as_request, start_daemon_thread)
+from repro.serve.daemon import FRAME_LIMIT
 
 
 def _pairs(texts, tag=""):
@@ -312,6 +313,49 @@ class TestDaemonEndToEnd:
                     reply = json.loads(stream.readline())
                     assert reply["ok"] is False, frame
                     assert reply["error"] == "bad-request", frame
+                stream.write(b'{"op": "ping"}\n')
+                stream.flush()
+                assert json.loads(stream.readline()) == {"ok": True,
+                                                         "op": "ping"}
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+    def test_oversized_frame_gets_frame_too_large_then_closes(
+            self, snapshot_a, caplog):
+        __, directory = snapshot_a
+        registry = ModelRegistry()
+        registry.publish("default", directory)
+        frame = json.dumps({"op": "ping", "pad": "x" * 70_000}).encode()
+        with start_daemon_thread(registry, DaemonConfig()) as handle:
+            with socket.create_connection(handle.address, timeout=10) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(frame + b"\n")
+                stream.flush()
+                assert json.loads(stream.readline()) == {
+                    "ok": False, "error": "frame-too-large",
+                    "limit": FRAME_LIMIT}
+                # The daemon hangs up: EOF, or a reset if part of the frame
+                # was still unread when it closed.
+                try:
+                    assert stream.readline() == b""
+                except ConnectionResetError:
+                    pass
+            with DaemonClient(*handle.address) as client:
+                assert client.ping()
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+    def test_non_utf8_frame_gets_bad_json_and_keeps_connection(
+            self, snapshot_a, caplog):
+        __, directory = snapshot_a
+        registry = ModelRegistry()
+        registry.publish("default", directory)
+        with start_daemon_thread(registry, DaemonConfig()) as handle:
+            with socket.create_connection(handle.address, timeout=10) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(b'{"op": "ping", "x": "\xc3"}\n')
+                stream.flush()
+                reply = json.loads(stream.readline())
+                assert reply["ok"] is False
+                assert reply["error"] == "bad-json"
                 stream.write(b'{"op": "ping"}\n')
                 stream.flush()
                 assert json.loads(stream.readline()) == {"ok": True,

@@ -233,18 +233,18 @@ class TestProfilerDoesNotPerturb:
 
 class TestEventsRegistryMirror:
     def test_bump_mirrors_to_registry(self):
-        before = REGISTRY.snapshot().get("resilience.retries", 0)
+        before = REGISTRY.snapshot().get("resilience.rollbacks", 0)
         events = Events()
-        events.bump("retries")
-        events.bump("retries", 2)
-        assert events.retries == 3
-        assert REGISTRY.snapshot()["resilience.retries"] == before + 3
+        events.bump("rollbacks")
+        events.bump("rollbacks", 2)
+        assert events.rollbacks == 3
+        assert REGISTRY.snapshot()["resilience.rollbacks"] == before + 3
 
     def test_derived_records_do_not_mirror(self):
-        events = Events(retries=5)
-        before = REGISTRY.snapshot().get("resilience.retries", 0)
+        events = Events(rollbacks=5)
+        before = REGISTRY.snapshot().get("resilience.rollbacks", 0)
         __ = events.copy() + events - events
-        assert REGISTRY.snapshot().get("resilience.retries", 0) == before
+        assert REGISTRY.snapshot().get("resilience.rollbacks", 0) == before
 
     def test_bad_field_raises(self):
         with pytest.raises(AttributeError):
